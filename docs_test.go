@@ -86,7 +86,8 @@ func TestDocsPinDurability(t *testing.T) {
 
 // TestDocsPinConnectionPath pins the connection-scale documentation
 // contract: the architecture map describes the event-loop read path (fd
-// ownership rule, fallback build tag) and the benchmark runbook carries
+// ownership rule, fallback build tag) and the egress write per client per
+// IoThread drain, and the benchmark runbook carries
 // the BENCH_c10m.json schema and its baseline-refresh step — code and CI
 // point readers at these by name, so renaming them must fail here.
 func TestDocsPinConnectionPath(t *testing.T) {
@@ -98,6 +99,8 @@ func TestDocsPinConnectionPath(t *testing.T) {
 		"### The connection path",
 		"syscall.RawConn",
 		"nonetpoll",
+		"one write per client per IoThread drain",
+		"`io_flush_bytes / io_flushes` is the achieved coalescing",
 	} {
 		if !strings.Contains(string(arch), want) {
 			t.Errorf("docs/ARCHITECTURE.md lost %q", want)

@@ -34,7 +34,7 @@ type Recorder struct {
 	buf     []byte // staging buffer, swapped out whole on hand-off
 	scratch []byte // RecordIn frame-encode scratch, reused across events
 	base    time.Time
-	lastNs  int64 // monotonic nanos of the previous event
+	lastNs  int64 // monotonic nanos of the newest event so far
 	flushNs int64 // monotonic nanos of the previous hand-off
 	closed  bool
 
@@ -117,11 +117,16 @@ func (r *Recorder) record(conn uint64, dir Direction, frame []byte) {
 //
 //vet:hotpath
 func (r *Recorder) appendLocked(nowNs int64, conn uint64, dir Direction, frame []byte) {
+	// Threads stamp before taking r.mu, so stamps may arrive out of order.
+	// An older stamp is recorded at the newest one seen (delta 0) and must
+	// not rewind lastNs: the next delta would then count the same interval
+	// twice, and the replayed clock would run ahead by a growing offset.
 	delta := nowNs - r.lastNs
 	if delta < 0 {
 		delta = 0
+	} else {
+		r.lastNs = nowNs
 	}
-	r.lastNs = nowNs
 	r.buf = appendEvent(r.buf, uint64(delta), conn, dir, frame)
 	if len(r.buf) < flushBytes && nowNs-r.flushNs < int64(flushAge) {
 		return

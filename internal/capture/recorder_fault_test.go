@@ -81,3 +81,46 @@ func TestRecorderCloseCleanSinkStillNil(t *testing.T) {
 		t.Fatalf("second Close = %v", err)
 	}
 }
+
+// TestRecorderClockOutOfOrderStamps: threads stamp an event before taking
+// the recorder's lock, so stamps can reach it out of order. Replaying the
+// capture must never put an event ahead of the newest real stamp so far,
+// and the error must not accumulate: the last event replays at the
+// newest stamp exactly.
+func TestRecorderClockOutOfOrderStamps(t *testing.T) {
+	var sink bytes.Buffer
+	r, err := NewRecorder(&sink)
+	if err != nil {
+		t.Fatalf("NewRecorder: %v", err)
+	}
+	// Pairs of threads racing: each pair's second stamp is older by up
+	// to 4 µs than its first.
+	var stamps []int64
+	for i := int64(1); i <= 1000; i++ {
+		stamps = append(stamps, i*10_000, i*10_000-(i%5)*1_000)
+	}
+	r.mu.Lock()
+	for _, s := range stamps {
+		r.appendLocked(s, 1, DirOut, []byte("f"))
+	}
+	r.mu.Unlock()
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	events, err := ReadAll(&sink)
+	if err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if len(events) != len(stamps) {
+		t.Fatalf("replayed %d events, recorded %d", len(events), len(stamps))
+	}
+	var at, newest int64
+	for i, ev := range events {
+		at += int64(ev.Delta)
+		newest = max(newest, stamps[i])
+		if at != newest {
+			t.Fatalf("event %d replays at %d ns, newest real stamp is %d ns (off by %d)",
+				i, at, newest, at-newest)
+		}
+	}
+}

@@ -62,6 +62,11 @@ type Client struct {
 	subs topicSet
 
 	closed atomic.Bool
+
+	// corked is 1 + the index of this client's entry in its IoThread's
+	// cork list while frames staged in the current queue drain await the
+	// drain's single write; 0 otherwise. Owned by the IoThread.
+	corked int32
 }
 
 // ID returns the engine-unique connection identifier.

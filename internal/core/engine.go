@@ -43,8 +43,10 @@ type Config struct {
 	// CacheCapacity is the per-topic history depth. Default: 1024.
 	CacheCapacity int
 	// BatchMaxBytes and BatchMaxDelay configure per-client output batching
-	// (§4). BatchMaxDelay == 0 disables batching (every frame is written
-	// immediately), matching the paper's evaluation configuration.
+	// (§4). BatchMaxDelay == 0 disables batching, matching the paper's
+	// evaluation configuration: no frame waits for a timer, and the
+	// frames one IoThread queue drain carries for a client leave in one
+	// write.
 	BatchMaxBytes int
 	BatchMaxDelay time.Duration
 	// ConflationInterval enables per-topic conflation when > 0 (§4).

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migratorydata/internal/batch"
+	"migratorydata/internal/bufpool"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/queue"
 )
@@ -104,6 +105,29 @@ type ioThread struct {
 
 	// drainScratch is the reused buffer backlog drains are coalesced into.
 	drainScratch []byte
+
+	// corks lists, in first-staged order, the clients with frames staged
+	// in the current queue drain; corkFrames holds those frames, chained
+	// per client. Both are reused across drains (see cork).
+	corks      []corkEntry
+	corkFrames []corkFrame
+}
+
+// corkEntry is one client's output staged in the current queue drain:
+// frames chained from head to tail through corkFrames, totalling bytes.
+// A nil c marks an entry already written or released.
+type corkEntry struct {
+	c          *Client
+	head, tail int32
+	bytes      int
+	frames     int64
+}
+
+// corkFrame is one staged frame; next chains to the client's following
+// frame (-1 ends the chain).
+type corkFrame struct {
+	data []byte
+	next int32
 }
 
 func newIoThread(index int, e *Engine) *ioThread {
@@ -128,6 +152,7 @@ func (t *ioThread) run() {
 		for i := range batch {
 			t.handle(&batch[i])
 		}
+		t.flushCorks()
 		t.engine.cpu.AddBusy(time.Since(start))
 		t.in.Recycle(batch)
 	}
@@ -236,13 +261,15 @@ func (t *ioThread) handleWriteMulti(ev *ioEvent) {
 	ev.set.release()
 }
 
-// batchFrame adds one frame to c's batcher, writing on a size-triggered (or
-// batching-off) flush and tracking delay-triggered flushes in pendingFlush.
-// A client whose transport has stalled (or that still holds a pressure
-// backlog) first gets an inline recovery attempt — a reader that merely
-// hiccuped must not be throttled to the retry-timer cadence — and, if
-// still blocked, the frame diverts into the bounded backlog under the
-// client's current pressure tier.
+// batchFrame stages one frame for c. With batching off (the default) a
+// healthy, unblocked client's frame is corked until the end of the queue
+// drain (see cork). Otherwise the frame goes to c's batcher, writing on a
+// size-triggered (or batching-off) flush and tracking delay-triggered
+// flushes in pendingFlush. A client whose transport has stalled (or that
+// still holds a pressure backlog) first gets an inline recovery attempt —
+// a reader that merely hiccuped must not be throttled to the retry-timer
+// cadence — and, if still blocked, the frame diverts into the bounded
+// backlog under the client's current pressure tier.
 func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable bool, now time.Time) {
 	if rec := t.engine.recorder; rec != nil {
 		// Every outbound frame passes through here exactly once, before
@@ -251,6 +278,13 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 		// replay must reproduce.
 		rec.RecordOut(c.id, frame)
 	}
+	if t.engine.cfg.BatchMaxDelay <= 0 && c.tier() == TierHealthy &&
+		!(t.engine.protect && c.egressBlocked()) {
+		t.cork(c, frame)
+		return
+	}
+	// Frames corked earlier in this drain precede this one on the wire.
+	t.uncork(c)
 	if t.engine.protect && c.egressBlocked() {
 		t.recoverEgress(c, now)
 		if c.closed.Load() {
@@ -264,10 +298,11 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 	}
 	if c.batcher == nil {
 		if t.engine.cfg.BatchMaxDelay <= 0 {
-			// Batching off (the default): the frame goes straight to the
-			// transport. No Batcher is ever materialized — at C10M scale its
-			// struct and buffer are pure per-connection overhead, and Add
-			// would copy every frame only to hand the copy back.
+			// Batching off, client under pressure: the frame goes straight
+			// to the transport, whose carry absorbs a stall. No Batcher is
+			// ever materialized — at C10M scale its struct and buffer are
+			// pure per-connection overhead, and Add would copy every frame
+			// only to hand the copy back.
 			t.write(c, frame, 1)
 			return
 		}
@@ -288,6 +323,114 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 	frames := c.batched
 	c.batched = 0
 	t.write(c, out, frames)
+}
+
+// maxCorkFrames bounds the frames staged in corks at once. A drain that
+// stages more (a deep queue behind a wide fan-out) flushes its corks every
+// maxCorkFrames frames, so the cork lists stay small while each write
+// still carries many frames.
+const maxCorkFrames = 4096
+
+// cork stages frame for c until the end of the current queue drain
+// (flushCorks), so all the frames one drain carries for a client leave in
+// a single transport write — the paper's "single I/O operation to a
+// client" (§4) at no added delay, since only frames already queued
+// together are merged. Only healthy, unblocked clients are corked, and
+// only with batching off: the batcher and the pressure path never hold a
+// client that has corked frames. A client's cork stays within one bufpool
+// class: a frame that would overflow it writes the cork out first, and a
+// frame larger than the class is then written at once and as is — it has
+// nothing to merge with and is never copied. The corked frames stay
+// charged to the egress ledger until written.
+//
+//vet:hotpath
+func (t *ioThread) cork(c *Client, frame []byte) {
+	if c.corked != 0 && t.corks[c.corked-1].bytes+len(frame) > bufpool.ClassSize {
+		t.uncork(c)
+		if c.closed.Load() {
+			// The write failed and tore c down: nobody consumes the charge.
+			c.releaseEgress(int64(len(frame)), 1)
+			return
+		}
+	}
+	if len(frame) > bufpool.ClassSize {
+		t.write(c, frame, 1)
+		return
+	}
+	i := int32(len(t.corkFrames))
+	t.corkFrames = append(t.corkFrames, corkFrame{data: frame, next: -1})
+	if c.corked == 0 {
+		t.corks = append(t.corks, corkEntry{c: c, head: i, tail: i, bytes: len(frame), frames: 1})
+		c.corked = int32(len(t.corks))
+	} else {
+		k := &t.corks[c.corked-1]
+		t.corkFrames[k.tail].next = i
+		k.tail = i
+		k.bytes += len(frame)
+		k.frames++
+	}
+	if len(t.corkFrames) == maxCorkFrames {
+		t.flushCorks()
+	}
+}
+
+// uncork writes c's corked frames now, ahead of any other write for c, so
+// the wire keeps staging order. A no-op for a client with nothing corked.
+//
+//vet:hotpath
+func (t *ioThread) uncork(c *Client) {
+	if c.corked != 0 {
+		t.writeCork(&t.corks[c.corked-1])
+	}
+}
+
+// flushCorks ends a queue drain: each corked client gets its one write, in
+// first-staged order.
+//
+//vet:hotpath
+func (t *ioThread) flushCorks() {
+	for i := range t.corks {
+		if t.corks[i].c != nil {
+			t.writeCork(&t.corks[i])
+		}
+	}
+	clear(t.corkFrames) // drop the frame references so the GC can reclaim them
+	t.corkFrames = t.corkFrames[:0]
+	t.corks = t.corks[:0]
+}
+
+// writeCork writes one cork entry and retires it. A lone frame is written
+// as is; two or more are copied into one pooled class buffer, which goes
+// back to the pool once the transport has consumed it.
+//
+//vet:hotpath
+func (t *ioThread) writeCork(k *corkEntry) {
+	c, head, bytes, frames := k.c, k.head, k.bytes, k.frames
+	k.c = nil
+	c.corked = 0
+	if frames == 1 {
+		t.write(c, t.corkFrames[head].data, 1)
+		return
+	}
+	buf := bufpool.Get(bytes)
+	out := buf[:0]
+	for i := head; i >= 0; i = t.corkFrames[i].next {
+		out = append(out, t.corkFrames[i].data...)
+	}
+	t.write(c, out, frames)
+	bufpool.Put(buf)
+}
+
+// dropCork releases c's corked frames from the egress ledger without
+// writing them (teardown: they will never reach the wire).
+func (t *ioThread) dropCork(c *Client) {
+	if c.corked == 0 {
+		return
+	}
+	k := &t.corks[c.corked-1]
+	c.releaseEgress(int64(k.bytes), k.frames)
+	k.c = nil
+	c.corked = 0
 }
 
 // recoverEgress opportunistically services a blocked client from the
@@ -355,6 +498,7 @@ func (t *ioThread) overloadDisconnect(c *Client) {
 	t.engine.stats.pressure.Disconnects.Inc()
 	t.engine.logger.Debug("overload: disconnecting slow consumer",
 		"client", c.RemoteAddr(), "egress_bytes", c.egress.bytes.Load())
+	t.uncork(c)
 	_ = c.framed.WriteBatch(terminalDisconnectFrame())
 	t.teardown(c)
 }
@@ -430,11 +574,13 @@ func (t *ioThread) retryStalled() {
 	}
 }
 
-// flushStalled drives one stalled client toward recovery: drain the
-// transport carry, then any batched-but-unflushed output, then the pressure
-// backlog — in that order, preserving the wire order of every surviving
-// frame. The client leaves the stalled set once everything is flushed.
+// flushStalled drives one stalled client toward recovery: hand its cork
+// to the transport (behind any carry), drain the transport carry, then any
+// batched-but-unflushed output, then the pressure backlog — in that order,
+// preserving the wire order of every surviving frame. The client leaves
+// the stalled set once everything is flushed.
 func (t *ioThread) flushStalled(c *Client) {
+	t.uncork(c)
 	if sw := c.stall; sw != nil && sw.StalledBytes() > 0 {
 		flushed, err := sw.FlushStalled(t.engine.cfg.StallProbe)
 		if flushed > 0 {
@@ -565,6 +711,7 @@ func (t *ioThread) teardown(c *Client) {
 		pl.unregister(c)
 	}
 	delete(t.pendingFlush, c)
+	t.dropCork(c)
 	t.unmarkStalled(c)
 	if c.backlog != nil {
 		// Teardown, not policy: release the budget without counting drops.

@@ -14,7 +14,12 @@ import (
 // StreamDecoder is NOT safe for concurrent use — by design, exactly one
 // IoThread touches a given client's decoder.
 type StreamDecoder struct {
+	// buf[off:] holds the buffered, not-yet-decoded bytes. Next only
+	// advances off; Feed moves the remainder to the front only when it
+	// needs the room, so a burst of n frames costs O(n) bytes moved, not
+	// O(n²).
 	buf []byte
+	off int
 
 	// PoolPayloads makes Next decode message payloads into pool-backed
 	// buffers (see DecodeBodyPooled). The decoder's owner then owns every
@@ -31,6 +36,11 @@ type StreamDecoder struct {
 
 // Feed appends newly-received bytes to the pending buffer.
 func (s *StreamDecoder) Feed(data []byte) {
+	if s.off > 0 && len(s.buf)+len(data) > cap(s.buf) {
+		n := copy(s.buf, s.buf[s.off:])
+		s.buf = s.buf[:n]
+		s.off = 0
+	}
 	s.buf = append(s.buf, data...)
 }
 
@@ -39,32 +49,35 @@ func (s *StreamDecoder) Feed(data []byte) {
 //
 //vet:hotpath
 func (s *StreamDecoder) Next() (*Message, error) {
-	if len(s.buf) < headerSize {
+	pending := s.buf[s.off:]
+	if len(pending) < headerSize {
 		return nil, nil
 	}
-	bodyLen := binary.BigEndian.Uint32(s.buf)
+	bodyLen := binary.BigEndian.Uint32(pending)
 	if bodyLen > MaxFrameSize {
 		//vet:ignore hotpath -- the error tears the connection down; it never recurs on a live stream
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, bodyLen)
 	}
 	total := headerSize + int(bodyLen)
-	if len(s.buf) < total {
+	if len(pending) < total {
 		return nil, nil
 	}
-	m, err := decodeBody(s.buf[headerSize:total], s.PoolPayloads, s.PoolMessages)
+	m, err := decodeBody(pending[headerSize:total], s.PoolPayloads, s.PoolMessages)
 	if err != nil {
 		return nil, err
 	}
-	// Shift the remainder to the front. Frames are small and back-to-back
-	// arrivals are drained in a loop, so the copy cost is negligible and
-	// keeps the buffer from growing without bound.
-	n := copy(s.buf, s.buf[total:])
-	s.buf = s.buf[:n]
+	s.off += total
+	if s.off == len(s.buf) {
+		s.Reset()
+	}
 	return m, nil
 }
 
 // Pending reports the number of buffered, not-yet-decoded bytes.
-func (s *StreamDecoder) Pending() int { return len(s.buf) }
+func (s *StreamDecoder) Pending() int { return len(s.buf) - s.off }
 
 // Reset discards all buffered bytes.
-func (s *StreamDecoder) Reset() { s.buf = s.buf[:0] }
+func (s *StreamDecoder) Reset() {
+	s.buf = s.buf[:0]
+	s.off = 0
+}

@@ -43,7 +43,9 @@ type Config struct {
 	Workers       int
 	TopicGroups   int
 	CacheCapacity int
-	// BatchMaxBytes / BatchMaxDelay enable output batching (§4).
+	// BatchMaxBytes / BatchMaxDelay enable timed output batching (§4).
+	// With BatchMaxDelay 0 (the default) no frame waits for a timer; the
+	// frames queued together for a client still leave in one write.
 	BatchMaxBytes int
 	BatchMaxDelay time.Duration
 	// ConflationInterval enables per-topic conflation (§4).
